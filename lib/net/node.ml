@@ -202,15 +202,29 @@ module Make (T : Transport.S) = struct
     | `Ignore _ -> (false, 0)
 
   (* Quorum read: the owner fans [Fetch] to the next [q-1] replica
-     holders, folds every copy that answers (its own included) through
-     the version order, replies with the dominating copy, and pushes
-     that copy back to any replica that reported an older one —
-     read-repair, off the reply path. *)
+     holders, folds every copy that answers into its own through the
+     version order, replies with the dominating copy, and pushes that
+     copy back to any replica that reported an older one — read-repair,
+     off the reply path.
+
+     The probe is a digest read: it carries the vector of the copy the
+     owner holds bytes for, and a replica whose copy that vector
+     dominates answers with its vector alone.  Such a reply can never
+     win the fold, because the fold starts from the owner's copy and
+     an equal vector keeps the running winner — unless only the
+     challenger carries the block, so a replica still fills in for an
+     owner whose bytes are gone (the owner then sends [known] empty,
+     and replicas ship bytes). *)
   let serve_get_q t l req ~key ~q =
     let local =
       match Vmap.find t.vmap ~key with
       | Some e -> (e.Vmap.vv, e.Vmap.deleted, Blockstore.get t.store ~key)
       | None -> (Vv.empty, false, Blockstore.get t.store ~key)
+    in
+    let holds (_, deleted, data) = deleted || data <> None in
+    let known =
+      let vv, _, _ = local in
+      if holds local then vv else Vv.empty
     in
     let targets =
       if q <= 1 then []
@@ -220,16 +234,16 @@ module Make (T : Transport.S) = struct
             |> List.filter (fun n -> n <> t.me)
             |> List.filteri (fun i _ -> i < q - 1))
     in
-    let replies = ref [ (t.me, local) ] in
+    let remote = ref [] in
     let remaining = ref (List.length targets) in
     let finish () =
-      let winner =
-        List.fold_left
-          (fun ((_, (avv, _, _)) as a) ((_, (bvv, _, _)) as b) ->
-            match Vv.winner avv bvv with `Left -> a | `Right -> b)
-          (List.hd !replies) (List.tl !replies)
+      let pick ((_, ((avv, _, _) as a)) as x) ((_, ((bvv, _, _) as b)) as y) =
+        match Vv.compare_vv avv bvv with
+        | Vv.Equal -> if holds a || not (holds b) then x else y
+        | _ -> ( match Vv.winner avv bvv with `Left -> x | `Right -> y)
       in
-      let _, (wvv, wdel, wdata) = winner in
+      let replies = (t.me, local) :: !remote in
+      let _, (wvv, wdel, wdata) = List.fold_left pick (t.me, local) !remote in
       (match (wdel, wdata) with
       | false, Some data -> L.reply l ~req (Wire.Found { data })
       | _ -> L.reply l ~req Wire.Missing);
@@ -255,18 +269,18 @@ module Make (T : Transport.S) = struct
                        data = Option.value wdata ~default:"";
                      })
                   (fun _ -> ()))
-          !replies
+          replies
     in
     if !remaining = 0 then finish ()
     else
       List.iter
         (fun dst ->
-          L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout (Wire.Fetch { key })
+          L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout (Wire.Fetch { key; known })
             (fun r ->
               (match r with
               | Some (Wire.Fetch_ack { vv; deleted; data }) ->
                   if not (Vv.is_empty vv && data = None) then
-                    replies := (dst, (vv, deleted, data)) :: !replies
+                    remote := (dst, (vv, deleted, data)) :: !remote
               | Some _ -> ()
               | None -> suspect t dst);
               decr remaining;
@@ -376,11 +390,18 @@ module Make (T : Transport.S) = struct
            and the next session finishes the job. *)
         let items = List.filteri (fun i _ -> i < Wire.max_sync_items) items in
         L.reply l ~req (Wire.Sync_keys_ack { items })
-    | Wire.Fetch { key } ->
+    | Wire.Fetch { key; known } ->
         let reply =
           match Vmap.find t.vmap ~key with
           | Some e when e.Vmap.deleted ->
               Wire.Fetch_ack { vv = e.Vmap.vv; deleted = true; data = None }
+          | Some e when (not (Vv.is_empty e.Vmap.vv)) && Vv.dominates known e.Vmap.vv
+            ->
+              (* Digest: the requester holds a copy at least as new, so
+                 skip the blockstore read and ship the vector alone.  A
+                 recovered block's empty vector is dominated by every
+                 [known], yet says nothing about its bytes: it ships. *)
+              Wire.Fetch_ack { vv = e.Vmap.vv; deleted = false; data = None }
           | Some e ->
               Wire.Fetch_ack
                 {
@@ -580,7 +601,7 @@ module Make (T : Transport.S) = struct
       | None -> (
           match Queue.take_opt s.pulls with
           | Some key ->
-              repair_rpc t ~dst:s.peer (Wire.Fetch { key })
+              repair_rpc t ~dst:s.peer (Wire.Fetch { key; known = Vv.empty })
                 (function
                   | Some (Wire.Fetch_ack { vv; deleted; data }) ->
                       if deleted || data <> None then begin

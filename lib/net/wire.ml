@@ -5,8 +5,9 @@ module Vv = D2_sync.Version_vector
    in the transport hello so a mixed-version cluster fails fast with a
    clear error instead of a mid-stream decode error.  2: version
    vectors on Put/Put_ack/Remove plus the anti-entropy messages
-   (tags 16-24). *)
-let protocol_version = 2
+   (tags 16-24).  3: [Fetch] carries the requester's vector ([known]),
+   and a [Fetch_ack] may answer with the vector alone (a digest). *)
+let protocol_version = 3
 let vv_empty = Vv.empty
 
 let max_payload = 8192
@@ -40,7 +41,7 @@ type msg =
   | Sync_digests_ack of { children : (int * int) array }
   | Sync_keys of { lo : Key.t; hi : Key.t; prefix : int; bits : int }
   | Sync_keys_ack of { items : (Key.t * Vv.t * bool) list }
-  | Fetch of { key : Key.t }
+  | Fetch of { key : Key.t; known : Vv.t }
   | Fetch_ack of { vv : Vv.t; deleted : bool; data : string option }
   | Push of { key : Key.t; vv : Vv.t; deleted : bool; data : string }
   | Push_ack of { stored : bool }
@@ -108,7 +109,8 @@ let tag_name = function
   | Get_q _ -> "get_q"
 
 let body_length = function
-  | Lookup _ | Get _ | Fetch _ -> Key.size
+  | Lookup _ | Get _ -> Key.size
+  | Fetch { known; _ } -> Key.size + Vv.encoded_size known
   | Owner _ -> 4 + Key.size + Key.size
   | Redirect _ -> 4
   | Found { data } -> 4 + String.length data
@@ -275,7 +277,9 @@ let encode_into buf ~off ~req msg =
           Bytes.set_uint8 buf r (if deleted then 1 else 0);
           q := r + 1)
         items
-  | Fetch { key } -> set_key buf p key
+  | Fetch { key; known } ->
+      set_key buf p key;
+      ignore (set_vv buf (p + Key.size) known)
   | Fetch_ack { vv; deleted; data } ->
       let q = set_vv buf p vv in
       let flags =
@@ -427,7 +431,9 @@ let decode buf ~off ~len =
                     (k, v, deleted))
               in
               Sync_keys_ack { items }
-          | 20 -> Fetch { key = key () }
+          | 20 ->
+              let key = key () in
+              Fetch { key; known = vv () }
           | 21 ->
               let vv = vv () in
               let flags = u8 () in

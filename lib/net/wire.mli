@@ -74,12 +74,22 @@ type msg =
       (** Leaf exchange: list the bucket's (key, version, tombstone)
           entries. *)
   | Sync_keys_ack of { items : (Key.t * Vv.t * bool) list }
-  | Fetch of { key : Key.t }
+  | Fetch of { key : Key.t; known : Vv.t }
       (** Versioned read of one local entry (repair pull / quorum
           sub-read); unlike [Get] it never redirects and returns the
-          vector. *)
+          vector.  [known] is the version the requester already holds
+          the bytes of: a quorum coordinator sends its own copy's
+          vector, a repair pull sends it empty to always get bytes. *)
   | Fetch_ack of { vv : Vv.t; deleted : bool; data : string option }
-      (** [data = None] with [vv] empty: entry unknown. *)
+      (** [data = None] with [vv] empty: entry unknown.  [deleted]:
+          a tombstone, never with bytes.  Otherwise [data = None] means
+          either a digest — the replica's live copy carries a non-empty
+          [vv] that the request's [known] dominates, so the requester
+          already holds a copy at least as new and no bytes are
+          shipped — or a version entry whose bytes are lost.  A copy
+          newer than or concurrent with [known], a copy under the empty
+          vector (a recovered block), and any reply to an empty
+          [known] carry the bytes whenever the replica has them. *)
   | Push of { key : Key.t; vv : Vv.t; deleted : bool; data : string }
       (** Store this versioned copy if it does not lose to yours
           (repair push / read-repair). *)

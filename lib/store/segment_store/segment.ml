@@ -6,6 +6,16 @@ external pread_stub :
 
 external fdatasync_stub : Unix.file_descr -> unit = "d2_segstore_fdatasync"
 
+(* Test-only fault hook: a pending error makes the next fdatasync on
+   any segment raise it instead of syncing. *)
+let sync_fault : Unix.error option Atomic.t = Atomic.make None
+let inject_sync_fault e = Atomic.set sync_fault (Some e)
+
+let fdatasync fd =
+  match Atomic.exchange sync_fault None with
+  | Some e -> raise (Unix.Unix_error (e, "fdatasync", ""))
+  | None -> fdatasync_stub fd
+
 type t = {
   sid : int;
   fd : Unix.file_descr;
@@ -91,7 +101,7 @@ let flush t ~fsync =
     if Bytes.length t.wbuf > 1 lsl 20 then t.wbuf <- Bytes.create 65536
   end;
   if fsync && t.synced_ < t.written then begin
-    fdatasync_stub t.fd;
+    fdatasync t.fd;
     t.synced_ <- t.written
   end
 
@@ -135,7 +145,7 @@ let truncate_to t len =
    fdatasync(2) (call it without the store lock — it only touches the
    fd), [mark_synced] the bookkeeping once the caller holds the lock
    again. *)
-let datasync t = fdatasync_stub t.fd
+let datasync t = fdatasync t.fd
 let mark_synced t ~upto = if upto > t.synced_ then t.synced_ <- min upto t.written
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

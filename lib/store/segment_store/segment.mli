@@ -61,5 +61,10 @@ val mark_synced : t -> upto:int -> unit
 (** Record (monotonically) that bytes up to [upto] are on stable
     storage; the post-{!datasync} half, called back under the lock. *)
 
+val inject_sync_fault : Unix.error -> unit
+(** Test hook: the next fdatasync on any segment ({!flush} with
+    [fsync], {!datasync}) raises [Unix_error] with this error instead
+    of syncing — a one-shot simulated disk fault. *)
+
 val close : t -> unit
 val unlink : dir:string -> id:int -> unit

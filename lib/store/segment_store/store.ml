@@ -84,6 +84,8 @@ type t = {
   mutable durable_cb : unit -> unit;  (** fired after each background sync *)
   recovered : recovery option;
   mutable closed : bool;
+  mutable failed : string option;
+      (** a write or sync failed: the watermark is frozen for good *)
 }
 
 let dir t = t.sdir
@@ -102,6 +104,20 @@ let locked t f =
       raise e
 
 let check_open t = if t.closed then invalid_arg "Segment_store: closed"
+let failure t = t.failed
+
+let check_healthy t =
+  match t.failed with
+  | Some why -> failwith ("Segment_store: failed: " ^ why)
+  | None -> ()
+
+(* After a failed write or fdatasync the kernel may already have
+   dropped the dirty pages, so a retry can report success over lost
+   bytes: the store stops for good instead.  [durable] never advances
+   again, so no ack waiting on it is ever released. *)
+let fail_locked t e fn =
+  if t.failed = None then
+    t.failed <- Some (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
 (* The flusher thread advances the watermark without the store lock,
    so every writer must go through a monotone compare-and-set. *)
@@ -110,11 +126,20 @@ let rec advance_durable t seq =
   if seq > cur && not (Atomic.compare_and_set t.durable cur seq) then
     advance_durable t seq
 
+(* Every push of the active segment's buffer goes through here, so a
+   failed write(2) or fdatasync(2) always fail-stops the store. *)
+let flush_active t ~fsync =
+  check_healthy t;
+  try Segment.flush t.active.seg ~fsync
+  with Unix.Unix_error (e, fn, _) as exn ->
+    fail_locked t e fn;
+    raise exn
+
 (* One fdatasync covering every byte the active segment holds; the
    group-commit primitive everything below builds on. *)
 let sync_active t =
   let before = Segment.synced t.active.seg in
-  Segment.flush t.active.seg ~fsync:true;
+  flush_active t ~fsync:true;
   if Segment.synced t.active.seg > before then t.n_fsyncs <- t.n_fsyncs + 1;
   (* Every assigned sequence lives in the active segment or an earlier
      sealed (already synced) one, so the watermark jumps to the last
@@ -128,7 +153,7 @@ let sync_active t =
    for exactly the users who asked not to wait for the disk. *)
 let settle_active t =
   match t.cfg.fsync with
-  | Never -> Segment.flush t.active.seg ~fsync:false
+  | Never -> flush_active t ~fsync:false
   | Always | Batch -> sync_active t
 
 let checkpoint_locked t =
@@ -175,6 +200,7 @@ let put t ~key ~data =
     invalid_arg "Segment_store.put: block exceeds max record payload";
   locked t (fun () ->
       check_open t;
+      check_healthy t;
       let st = t.active in
       let off = Segment.append st.seg ~kind:Record.kind_put ~key ~data in
       let rlen = Record.encoded_len ~data_len:(String.length data) in
@@ -202,6 +228,7 @@ let put t ~key ~data =
 let remove t ~key =
   locked t (fun () ->
       check_open t;
+      check_healthy t;
       match Log_index.remove t.index key with
       | None -> (false, 0)
       | Some (oseg, olen) ->
@@ -254,12 +281,12 @@ let flush t =
   locked t (fun () ->
       if not t.closed then
         match t.cfg.fsync with
-        | Always -> () (* every put synced inline; nothing pending *)
+        | Always -> check_healthy t (* every put synced inline *)
         | Batch -> sync_active t
-        | Never -> Segment.flush t.active.seg ~fsync:false)
+        | Never -> flush_active t ~fsync:false)
 
 let needs_flush t =
-  (not t.closed)
+  (not t.closed) && t.failed = None
   &&
   match t.cfg.fsync with
   | Always -> false
@@ -287,30 +314,40 @@ let rec flusher_loop t =
   if not stop then begin
     let work =
       locked t (fun () ->
-          if t.closed then None
-          else begin
-            Segment.flush t.active.seg ~fsync:false;
-            let seg = t.active.seg in
-            let upto = Segment.file_length seg in
-            let covered = t.next_seq - 1 in
-            if Segment.synced seg >= upto && Atomic.get t.durable >= covered
-            then None
-            else Some (seg, upto, covered)
-          end)
+          if t.closed || t.failed <> None then None
+          else
+            match flush_active t ~fsync:false with
+            | exception Unix.Unix_error _ -> None
+            | () ->
+                let seg = t.active.seg in
+                let upto = Segment.file_length seg in
+                let covered = t.next_seq - 1 in
+                if Segment.synced seg >= upto && Atomic.get t.durable >= covered
+                then None
+                else Some (seg, upto, covered))
     in
     (match work with
     | None -> ()
     | Some (seg, upto, covered) ->
-        (* EBADF is possible if a rotation plus a full compaction
-           retired this very segment in the window; that path already
-           synced it, so the records are durable either way. *)
-        (try Segment.datasync seg with Unix.Unix_error _ -> ());
+        let err =
+          match Segment.datasync seg with
+          | () -> None
+          | exception Unix.Unix_error (e, fn, _) -> Some (e, fn)
+        in
         locked t (fun () ->
-            if not t.closed then begin
-              Segment.mark_synced seg ~upto;
-              t.n_fsyncs <- t.n_fsyncs + 1;
-              advance_durable t covered
-            end);
+            if not t.closed then
+              match err with
+              | None ->
+                  Segment.mark_synced seg ~upto;
+                  t.n_fsyncs <- t.n_fsyncs + 1;
+                  advance_durable t covered
+              | Some (Unix.EBADF, _) when Segment.synced seg >= upto ->
+                  (* A rotation plus a full compaction retired (and
+                     closed) this very segment in the window; the
+                     rotation synced it under the lock first, so the
+                     records are durable either way. *)
+                  ()
+              | Some (e, fn) -> fail_locked t e fn);
         t.durable_cb ());
     flusher_loop t
   end
@@ -476,6 +513,7 @@ let compact_step_locked t ~budget =
 let compact t ~force =
   locked t (fun () ->
       check_open t;
+      check_healthy t;
       let done_ = ref 0 in
       let continue = ref true in
       while !continue do
@@ -489,7 +527,7 @@ let maybe_compact t =
   if t.compacting = None && not t.compact_check then 0
   else
     locked t (fun () ->
-        if t.closed then 0
+        if t.closed || t.failed <> None then 0
         else begin
           if t.compacting = None then ignore (pick_victim_locked t ~force:false);
           if
@@ -506,9 +544,14 @@ let close t =
   locked t (fun () ->
       if not t.closed then begin
         (* A clean close makes everything durable whatever the policy
-           ([Never] included — this is the one sync that mode pays). *)
-        sync_active t;
-        checkpoint_locked t;
+           ([Never] included — this is the one sync that mode pays).  A
+           failed store only releases its descriptors: its log is not
+           trustworthy past the last good sync, so nothing new is
+           checkpointed over it. *)
+        if t.failed = None then begin
+          sync_active t;
+          checkpoint_locked t
+        end;
         Hashtbl.iter (fun _ st -> Segment.close st.seg) t.segs;
         t.closed <- true
       end)
@@ -715,6 +758,7 @@ let create ~dir ?(config = default_config) () =
       durable_cb = ignore;
       recovered;
       closed = false;
+      failed = None;
     }
   in
   if config.fsync = Batch then t.f_thread <- Some (Thread.create flusher_loop t);

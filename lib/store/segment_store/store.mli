@@ -80,11 +80,13 @@ val recovery : t -> recovery option
 val put : t -> key:Key.t -> data:string -> int
 (** Buffer a write; returns its append sequence (durable once
     [durable_seq] reaches it — immediately under [Always]/[Never]).
-    @raise Invalid_argument if [data] exceeds {!Record.max_data}. *)
+    @raise Invalid_argument if [data] exceeds {!Record.max_data}.
+    @raise Failure once the store has {!failure}. *)
 
 val remove : t -> key:Key.t -> bool * int
 (** [(removed, seq)].  A remove of an absent key appends nothing and
-    returns [(false, 0)] — sequence 0 is always durable. *)
+    returns [(false, 0)] — sequence 0 is always durable.
+    @raise Failure once the store has {!failure}. *)
 
 val get : t -> key:Key.t -> string option
 val mem : t -> key:Key.t -> bool
@@ -116,6 +118,15 @@ val on_durable : t -> (unit -> unit) -> unit
 
 val durable_seq : t -> int
 val last_seq : t -> int
+
+val failure : t -> string option
+(** [Some reason] once a log write or fdatasync has failed (EIO,
+    ENOSPC, ...).  The store is then fail-stopped: [durable_seq] never
+    advances again, so acks waiting on it are never released; {!put},
+    {!remove}, {!flush}, {!checkpoint} and {!compact} raise [Failure];
+    background commits and compaction stop; reads keep serving.  The
+    one tolerated error is EBADF on a segment that a rotation already
+    synced before compaction retired it. *)
 
 val checkpoint : t -> unit
 (** Force an index checkpoint (flushes and syncs first, so the

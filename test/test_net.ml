@@ -96,7 +96,7 @@ let random_msg rng =
             List.init n (fun _ ->
                 (key_of_rng rng, random_vv rng, Rng.bool rng));
         }
-  | 19 -> Wire.Fetch { key = key_of_rng rng }
+  | 19 -> Wire.Fetch { key = key_of_rng rng; known = random_vv rng }
   | 20 ->
       Wire.Fetch_ack
         {
@@ -160,7 +160,8 @@ let equal_msg (a : Wire.msg) (b : Wire.msg) =
            (fun (k1, v1, d1) (k2, v2, d2) ->
              Key.equal k1 k2 && v1 = v2 && d1 = d2)
            i1 i2
-  | Wire.Fetch { key = k1 }, Wire.Fetch { key = k2 } -> Key.equal k1 k2
+  | Wire.Fetch { key = k1; known = v1 }, Wire.Fetch { key = k2; known = v2 } ->
+      Key.equal k1 k2 && v1 = v2
   | ( Wire.Fetch_ack { vv = v1; deleted = d1; data = b1 },
       Wire.Fetch_ack { vv = v2; deleted = d2; data = b2 } ) ->
       v1 = v2 && d1 = d2 && b1 = b2
@@ -224,6 +225,22 @@ let test_unknown_tag () =
   match Wire.decode frame ~off:0 ~len:(Bytes.length frame) with
   | Error (Wire.Malformed _) -> ()
   | _ -> Alcotest.fail "unknown tag must be malformed"
+
+(* A frame whose length field cuts into [Fetch.known]: the frame is
+   complete but its vector is not, so the codec must call it malformed
+   (a truncated window would be [Short] instead). *)
+let test_truncated_known () =
+  let known = Vv.bump (Vv.bump Vv.empty ~node:3) ~node:9 in
+  let frame = Wire.encode ~req:5 (Wire.Fetch { key = Key.zero; known }) in
+  let n = Bytes.length frame in
+  for drop = 1 to Vv.encoded_size known do
+    let cut = Bytes.sub frame 0 (n - drop) in
+    Bytes.set_int32_be cut 0 (Int32.of_int (n - drop - 4));
+    match Wire.decode cut ~off:0 ~len:(n - drop) with
+    | Error (Wire.Malformed _) -> ()
+    | _ ->
+        Alcotest.failf "Fetch with %d vector bytes cut must be malformed" drop
+  done
 
 let reader_chunking_prop seed =
   let rng = Rng.create seed in
@@ -363,6 +380,7 @@ let () =
           QCheck_alcotest.to_alcotest (prop "corruption never raises" corruption_prop);
           Alcotest.test_case "oversize/undersize length" `Quick test_oversize_length;
           Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
+          Alcotest.test_case "truncated Fetch.known" `Quick test_truncated_known;
         ] );
       ( "reader",
         [

@@ -6,6 +6,7 @@
 
 module Store = D2_segstore.Store
 module Record = D2_segstore.Record
+module Segment = D2_segstore.Segment
 module Crc32c = D2_segstore.Crc32c
 module Cache = D2_cache.Block_cache
 module Key = D2_keyspace.Key
@@ -217,6 +218,61 @@ let test_watermarks_always_never () =
             (Store.durable_seq st >= seq);
           Store.close st))
     [ Store.Always; Store.Never ]
+
+(* A failed fdatasync fail-stops the store, on the background group
+   commit and on the inline one alike: the watermark never covers the
+   failed window, writes raise, and later commits never advance it
+   (a retried sync may "succeed" over pages the kernel dropped).
+   EBADF is no excuse either when no rotation synced the segment. *)
+let test_sync_fault_fail_stops () =
+  let config = { Store.default_config with fsync = Store.Batch } in
+  let raises what f =
+    match f () with
+    | exception (Failure _ | Unix.Unix_error _) -> ()
+    | _ -> Alcotest.fail (what ^ " succeeded on a failed store")
+  in
+  List.iter
+    (fun (label, err, background) ->
+      with_dir "syncfault" (fun dir ->
+          let st = Store.create ~dir ~config () in
+          let seq1 = Store.put st ~key:(key_of 1) ~data:"a" in
+          Store.flush st;
+          let seq2 = Store.put st ~key:(key_of 2) ~data:"b" in
+          Segment.inject_sync_fault err;
+          if background then begin
+            Store.flush_async st;
+            let deadline = Unix.gettimeofday () +. 10.0 in
+            while Store.failure st = None && Unix.gettimeofday () < deadline do
+              Thread.delay 0.001
+            done
+          end
+          else raises (label ^ ": flush") (fun () -> Store.flush st);
+          Alcotest.(check bool) (label ^ ": failed") true (Store.failure st <> None);
+          Alcotest.(check bool) (label ^ ": earlier commit stands") true
+            (Store.durable_seq st >= seq1);
+          Alcotest.(check bool) (label ^ ": failed window not durable") true
+            (Store.durable_seq st < seq2);
+          raises (label ^ ": put") (fun () -> Store.put st ~key:(key_of 3) ~data:"c");
+          raises (label ^ ": remove") (fun () -> Store.remove st ~key:(key_of 1));
+          raises (label ^ ": flush") (fun () -> Store.flush st);
+          Alcotest.(check bool) (label ^ ": nothing to flush") false
+            (Store.needs_flush st);
+          Store.flush_async st;
+          Thread.delay 0.05;
+          Alcotest.(check bool) (label ^ ": watermark frozen") true
+            (Store.durable_seq st < seq2);
+          Alcotest.(check (option string)) (label ^ ": reads still served")
+            (Some "a") (Store.get st ~key:(key_of 1));
+          Store.close st;
+          let st2 = Store.create ~dir () in
+          Alcotest.(check (option string)) (label ^ ": synced block survives")
+            (Some "a") (Store.get st2 ~key:(key_of 1));
+          Store.close st2))
+    [
+      ("EIO, background", Unix.EIO, true);
+      ("EBADF, background", Unix.EBADF, true);
+      ("EIO, inline", Unix.EIO, false);
+    ]
 
 (* {1 Out-of-core reads: rotation, pread, byte cache} *)
 
@@ -654,6 +710,8 @@ let () =
           Alcotest.test_case "basic ops + reopen" `Quick test_basic_ops;
           Alcotest.test_case "group-commit watermarks (batch)" `Quick
             test_watermarks_batch;
+          Alcotest.test_case "fdatasync fault fail-stops the store" `Quick
+            test_sync_fault_fail_stops;
           Alcotest.test_case "always/never durable inline" `Quick
             test_watermarks_always_never;
           Alcotest.test_case "rotation + pread, cache off" `Quick

@@ -454,6 +454,143 @@ let test_quorum_read_repair () =
     (Vv.compare_vv (entry_vv c p key) (entry_vv c owner key) = Vv.Equal);
   Array.iter Node.stop c.nodes
 
+(* {1 Digest quorum reads}
+
+   The owner's [Get_q] probe carries the vector of its own copy; a
+   replica holding nothing newer answers with its vector alone. *)
+
+module L = D2_net.Linkset.Make (Mem)
+module Wire = D2_net.Wire
+
+(* A quorum-2 read consults the owner plus the first successor. *)
+let pick_group ring ~seed =
+  let rng = Rng.create seed in
+  let rec pick () =
+    let key = Key.random rng in
+    match Ring.successors ring key 3 with
+    | [ o; s1; s2 ] -> (key, o, s1, s2)
+    | _ -> pick ()
+  in
+  pick ()
+
+let quorum_get qclient ~label key =
+  match Client.get qclient ~key with
+  | `Found d -> d
+  | `Missing -> Alcotest.fail (label ^ ": quorum read answered Missing")
+  | `Failed -> Alcotest.fail (label ^ ": quorum read failed")
+
+(* Equal vectors, bytes on one side only: whichever of owner and
+   replica still holds the block answers the read.  A bodiless replica
+   must not win the fold (the owner's copy is the starting point), and
+   a bodiless owner must still be served from the replica. *)
+let test_quorum_read_equal_vectors () =
+  let c = boot ~n:9 ~extra:2 ~config:(static_config ~repair_interval:0.0) () in
+  let seeds = List.init 9 Fun.id in
+  let client =
+    Client.create (Mem.endpoint c.net ~node:9) ~replicas:3 ~rpc_timeout:5.0
+      ~seeds ()
+  in
+  let qclient =
+    Client.create (Mem.endpoint c.net ~node:10) ~replicas:3 ~quorum_r:2
+      ~rpc_timeout:5.0 ~seeds ()
+  in
+  let ring = ring_of_live c ~dead:[] in
+  List.iter
+    (fun (label, seed, drop_on) ->
+      let key, owner, p, _ = pick_group ring ~seed in
+      (match Client.put client ~key ~data:(data_v 1 key) with
+      | `Ok copies -> Alcotest.(check int) (label ^ ": put copies") 3 copies
+      | `Failed -> Alcotest.fail (label ^ ": put failed"));
+      let gone = if drop_on = `Replica then p else owner in
+      (* Bytes gone, version entry kept: a lost block. *)
+      ignore (Blockstore.remove (Node.store c.nodes.(gone)) ~key);
+      Alcotest.(check bool)
+        (label ^ ": vectors still equal") true
+        (Vv.compare_vv (entry_vv c p key) (entry_vv c owner key) = Vv.Equal);
+      Alcotest.(check string) (label ^ ": read") (data_v 1 key)
+        (quorum_get qclient ~label key))
+    [ ("bodiless replica", 0x51, `Replica); ("bodiless owner", 0x52, `Owner) ];
+  Array.iter Node.stop c.nodes
+
+(* The owner is the stale side: a newer stamped copy lives only on the
+   first successor.  The replica must ship its bytes (the owner's
+   [known] does not dominate them), and the read repairs the owner. *)
+let test_quorum_read_stale_owner () =
+  let c = boot ~n:9 ~extra:2 ~config:(static_config ~repair_interval:0.0) () in
+  let seeds = List.init 9 Fun.id in
+  let client =
+    Client.create (Mem.endpoint c.net ~node:9) ~replicas:3 ~rpc_timeout:5.0
+      ~seeds ()
+  in
+  let key, owner, p, _ = pick_group (ring_of_live c ~dead:[]) ~seed:0x53 in
+  (match Client.put client ~key ~data:(data_v 1 key) with
+  | `Ok copies -> Alcotest.(check int) "so: put copies" 3 copies
+  | `Failed -> Alcotest.fail "so: put failed");
+  let vv2 = Vv.bump (entry_vv c p key) ~node:p in
+  (match Vmap.apply (Node.vmap c.nodes.(p)) ~key ~vv:vv2 ~deleted:false with
+  | `Store _ -> ()
+  | `Ignore _ -> Alcotest.fail "so: injected copy lost the version race");
+  ignore (Blockstore.put (Node.store c.nodes.(p)) ~key ~data:(data_v 2 key));
+  let qclient =
+    Client.create (Mem.endpoint c.net ~node:10) ~replicas:3 ~quorum_r:2
+      ~rpc_timeout:5.0 ~seeds ()
+  in
+  Alcotest.(check string) "so: quorum read returns the newer copy"
+    (data_v 2 key) (quorum_get qclient ~label:"so" key);
+  run_for c 2.0;
+  Alcotest.(check (option string))
+    "so: owner repaired by the read"
+    (Some (data_v 2 key))
+    (Blockstore.get (Node.store c.nodes.(owner)) ~key);
+  Alcotest.(check bool)
+    "so: vectors converged" true
+    (Vv.compare_vv (entry_vv c owner key) vv2 = Vv.Equal);
+  Array.iter Node.stop c.nodes
+
+(* The [Fetch] contract, driven from a bare test link. *)
+let test_fetch_digest_contract () =
+  let c = boot ~n:9 ~extra:2 ~config:(static_config ~repair_interval:0.0) () in
+  let client =
+    Client.create (Mem.endpoint c.net ~node:9) ~replicas:3 ~rpc_timeout:5.0
+      ~seeds:(List.init 9 Fun.id) ()
+  in
+  let ls = L.create (Mem.endpoint c.net ~node:10) in
+  let fetch ~label ~dst key known =
+    match L.rpc_sync ls ~dst ~timeout:5.0 (Wire.Fetch { key; known }) with
+    | Some (Wire.Fetch_ack { vv; deleted; data }) -> (vv, deleted, data)
+    | _ -> Alcotest.fail (label ^ ": no Fetch_ack")
+  in
+  let ring = ring_of_live c ~dead:[] in
+  let key, owner, p, _ = pick_group ring ~seed:0x54 in
+  (match Client.put client ~key ~data:(data_v 1 key) with
+  | `Ok _ -> ()
+  | `Failed -> Alcotest.fail "fetch: put failed");
+  let v1 = entry_vv c p key in
+  let check ~label ~known ~expect =
+    let vv, deleted, data = fetch ~label ~dst:p key known in
+    Alcotest.(check bool) (label ^ ": vector") true (Vv.compare_vv vv v1 = Vv.Equal);
+    Alcotest.(check bool) (label ^ ": live") false deleted;
+    Alcotest.(check (option string)) (label ^ ": bytes") expect data
+  in
+  check ~label:"equal known" ~known:v1 ~expect:None;
+  check ~label:"dominating known" ~known:(Vv.bump v1 ~node:owner) ~expect:None;
+  check ~label:"empty known (repair pull)" ~known:Vv.empty
+    ~expect:(Some (data_v 1 key));
+  check ~label:"concurrent known" ~known:(Vv.bump Vv.empty ~node:p)
+    ~expect:(Some (data_v 1 key));
+  (* A recovered block sits under the empty vector, which every [known]
+     dominates; it still ships its bytes. *)
+  let key2, _, _, _ = pick_group ring ~seed:0x55 in
+  Vmap.seed (Node.vmap c.nodes.(p)) ~key:key2;
+  ignore (Blockstore.put (Node.store c.nodes.(p)) ~key:key2 ~data:"recovered");
+  List.iter
+    (fun (label, known) ->
+      let vv, _, data = fetch ~label ~dst:p key2 known in
+      Alcotest.(check bool) (label ^ ": empty vector") true (Vv.is_empty vv);
+      Alcotest.(check (option string)) (label ^ ": bytes") (Some "recovered") data)
+    [ ("seeded, dominating known", v1); ("seeded, empty known", Vv.empty) ];
+  Array.iter Node.stop c.nodes
+
 (* Write quorums on a 3-node ring, where routing cannot work around a
    severed replica: every group is the whole cluster, so with one node
    unreachable a put settles at 2 acks — enough for w=2, a hard
@@ -507,6 +644,12 @@ let () =
             test_partition_heal_converges;
           Alcotest.test_case "quorum read repairs a stale replica inline"
             `Quick test_quorum_read_repair;
+          Alcotest.test_case "quorum read with equal vectors serves the bytes"
+            `Quick test_quorum_read_equal_vectors;
+          Alcotest.test_case "quorum read repairs a stale owner" `Quick
+            test_quorum_read_stale_owner;
+          Alcotest.test_case "fetch ships bytes only when not dominated"
+            `Quick test_fetch_digest_contract;
           Alcotest.test_case "write quorum gates on acked copies" `Quick
             test_write_quorum;
         ] );
