@@ -15,13 +15,16 @@ bench:
 # worker domains and diff the output (wall times normalized away)
 # against the golden file.  Catches both report regressions and
 # parallel-runner nondeterminism — the report bytes must not depend
-# on the job count or on scheduling.  The reduced quick-scale micro
+# on the job count or on scheduling.  repair_bandwidth is the one
+# entry that drives the live node runtime and client (on the
+# virtual-time transport), so the golden pins that path too.  The
+# reduced quick-scale micro
 # set still runs (so the JSON has micro numbers), but its
 # timing-dependent lines are filtered out of the golden diff.
 bench-quick: build
 	set -o pipefail; \
 	D2_SCALE=quick D2_JOBS=2 dune exec bench/main.exe -- \
-	  table1 fig3 ablation_routing ablation_hotspot \
+	  table1 fig3 ablation_routing ablation_hotspot repair_bandwidth \
 	  --json /tmp/d2_bench_quick.json \
 	| sed -E 's/^\[([a-z0-9_]+): [0-9.]+s\]$$/[\1: _s]/' \
 	| grep -v '^Total wall time' \

@@ -4,6 +4,13 @@ module Lookup_cache = D2_cache.Lookup_cache
 module Make (T : Transport.S) = struct
   module L = Linkset.Make (T)
 
+  (* Redirects one lookup chain follows before it gives up. *)
+  let max_hops = 32
+
+  (* Poll step while a synchronous operation waits (on the
+     virtual-time transport, also how far the clock advances per step). *)
+  let quantum = 0.01
+
   type t = {
     ls : L.t;
     cache : Lookup_cache.t;
@@ -13,18 +20,15 @@ module Make (T : Transport.S) = struct
     quorum_r : int;
     quorum_w : int;
     rpc_timeout : float;
-    max_hops : int;
     retries : int;
-    quantum : float;
     alpha : int;
     mutable lookup_rpcs : int;
     mutable failures : int;
     mutable inflight : int;
   }
 
-  let create ep ?ttl ?(replicas = 3) ?(quorum_r = 1) ?(quorum_w = 1)
-      ?(rpc_timeout = 0.25) ?(max_hops = 32) ?(retries = 3) ?(quantum = 0.01)
-      ?(alpha = 1) ~seeds () =
+  let create ep ?(replicas = 3) ?(quorum_r = 1) ?(quorum_w = 1)
+      ?(rpc_timeout = 0.25) ?(retries = 3) ?(alpha = 1) ~seeds () =
     if seeds = [] then invalid_arg "Client.create: seeds must be non-empty";
     if alpha < 1 then invalid_arg "Client.create: alpha must be >= 1";
     if quorum_r < 1 || quorum_r > replicas then
@@ -33,16 +37,14 @@ module Make (T : Transport.S) = struct
       invalid_arg "Client.create: quorum_w outside 1..replicas";
     {
       ls = L.create ep;
-      cache = Lookup_cache.create ?ttl ();
+      cache = Lookup_cache.create ();
       seeds = Array.of_list seeds;
       seed_idx = 0;
       replicas;
       quorum_r;
       quorum_w;
       rpc_timeout;
-      max_hops;
       retries;
-      quantum;
       alpha;
       lookup_rpcs = 0;
       failures = 0;
@@ -55,39 +57,28 @@ module Make (T : Transport.S) = struct
   let in_flight t = t.inflight
   let poll t ~timeout = L.poll t.ls ~timeout
 
-  let rpc t dst msg =
-    L.rpc_sync t.ls ~dst ~timeout:t.rpc_timeout ~quantum:t.quantum msg
-
+  (* Every RPC is queued deferred — the frame coalesces into the link
+     buffer and leaves at the next flush — and its reply fires the
+     continuation from a later {!poll}.  A caller keeps a window of W
+     operations open and all W requests ride the same connection,
+     correlated by request id. *)
   let arpc t dst msg k =
     L.rpc ~defer:true t.ls ~dst ~timeout:t.rpc_timeout msg k
 
-  (* Iterative lookup from one entry node: follow redirects until an
-     owner answers with its range, which populates the cache exactly
-     as §5 describes. *)
-  let rec iterate t key cur hops_left =
-    t.lookup_rpcs <- t.lookup_rpcs + 1;
-    match rpc t cur (Wire.Lookup { key }) with
-    | Some (Wire.Owner { node; lo; hi }) ->
-        Lookup_cache.insert t.cache ~now:(T.now (L.endpoint t.ls)) ~lo ~hi ~node;
-        Some node
-    | Some (Wire.Redirect { next }) when hops_left > 0 ->
-        iterate t key next (hops_left - 1)
-    | _ ->
-        L.drop_link t.ls cur;
-        None
+  (* {2 Lookups}
 
-  (* {2 α-way racing lookups}
-
-     With [alpha >= 2] a cache miss races [alpha] independent
-     iterative redirect-chains, each entered through a distinct seed,
-     over the pipelined async path.  The first chain to reach an owner
-     settles the lookup; the losers are cancelled — a settled chain
-     never issues another message (its in-flight RPC merely drains).
-     Nothing changes on the wire: each chain is a plain iterative
-     lookup, so servers (and pinned replay bytes) are untouched.  The
-     win is tail latency: a chain stuck on a dead or slow hop no
-     longer serializes the lookup behind its RPC timeout, because a
-     sibling chain routed around it is usually already done. *)
+     A cache miss walks iterative redirect-chains, each entered through
+     a distinct seed; an owner's answer populates the cache exactly as
+     §5 describes.  With [alpha >= 2] the chains race: [alpha] of them
+     run at once, the first to reach an owner settles the lookup and
+     the losers are cancelled — a settled chain never issues another
+     message (its in-flight RPC merely drains).  Nothing changes on the
+     wire: each chain is a plain iterative lookup, so servers (and
+     pinned replay bytes) are untouched.  The win is tail latency: a
+     chain stuck on a dead or slow hop no longer serializes the lookup
+     behind its RPC timeout, because a sibling chain routed around it
+     is usually already done.  At [alpha = 1] one chain runs at a time,
+     which is the plain sequential seed ladder. *)
 
   let rec race_iterate t key cur hops_left settled k =
     if !settled then k None
@@ -109,9 +100,10 @@ module Make (T : Transport.S) = struct
                 k None)
     end
 
-  (* Race chains through the seeds in waves of [alpha]; a wave whose
-     every chain fails falls through to the next [alpha] seeds, same
-     exhaustion rule as the sequential ladder. *)
+  (* Race chains through the seeds in waves of [alpha], starting at
+     the round-robin cursor; a wave whose every chain fails falls
+     through to the next [alpha] seeds, and the lookup fails once
+     every seed has been tried. *)
   let aresolve_race t key k =
     let ns = Array.length t.seeds in
     let alpha = min t.alpha ns in
@@ -129,7 +121,7 @@ module Make (T : Transport.S) = struct
         for j = 0 to live - 1 do
           race_iterate t key
             t.seeds.((start + base + j) mod ns)
-            t.max_hops settled (fun r ->
+            max_hops settled (fun r ->
               if not !settled then
                 match r with
                 | Some node ->
@@ -143,152 +135,21 @@ module Make (T : Transport.S) = struct
     in
     wave 0
 
-  (* Owner of [key]: cached range when one covers it, else iterative
-     lookup starting from the seeds in round-robin order (α-way racing
-     when [alpha >= 2]).  The bool says whether the answer came from
+  (* Owner of [key]: cached range when one covers it, else a lookup
+     through the seeds.  The bool says whether the answer came from
      the cache (a [Missing] under a cached range is then retried with
      a fresh lookup — the range may be stale). *)
-  let resolve t key =
+  let aresolve t key k =
     let now = T.now (L.endpoint t.ls) in
     match Lookup_cache.find t.cache ~now key with
-    | node when node >= 0 -> Some (node, true)
-    | _ when t.alpha >= 2 ->
-        (* Drive the racing resolve to completion from the sync path:
-           every chain concludes by its RPC timeout, so the poll loop
-           below terminates. *)
-        let result = ref None and settled = ref false in
-        aresolve_race t key (fun r ->
-            result := r;
-            settled := true);
-        while not !settled do
-          L.poll t.ls ~timeout:t.quantum
-        done;
-        !result
-    | _ ->
-        let ns = Array.length t.seeds in
-        let start = t.seed_idx in
-        t.seed_idx <- (t.seed_idx + 1) mod ns;
-        let rec try_seed k =
-          if k >= ns then None
-          else
-            match iterate t key t.seeds.((start + k) mod ns) t.max_hops with
-            | Some node -> Some (node, false)
-            | None -> try_seed (k + 1)
-        in
-        try_seed 0
+    | node when node >= 0 -> k (Some (node, true))
+    | _ -> aresolve_race t key k
 
   (* Run one operation against the key's owner with resolve-retry on
      failure: a timeout invalidates the covering cache range and
      resolves afresh through another seed; [`Stale outcome] is
      authoritative only when the owner came from a fresh lookup (a
      cached range may point at yesterday's owner). *)
-  let with_owner t key ~f =
-    let rec go attempts =
-      if attempts <= 0 then begin
-        t.failures <- t.failures + 1;
-        `Failed
-      end
-      else
-        match resolve t key with
-        | None ->
-            t.failures <- t.failures + 1;
-            `Failed
-        | Some (owner, from_cache) -> (
-            match f owner with
-            | `Done outcome -> outcome
-            | `Stale outcome ->
-                if from_cache then begin
-                  ignore (Lookup_cache.invalidate t.cache key);
-                  go (attempts - 1)
-                end
-                else outcome
-            | `Retry ->
-                ignore (Lookup_cache.invalidate t.cache key);
-                L.drop_link t.ls owner;
-                go (attempts - 1))
-    in
-    go t.retries
-
-  (* A write is good once [quorum_w] replicas acked it; fewer acks
-     (slow or dead replicas inside the coordinator's fan-out window)
-     re-resolves and retries — the version map makes the replay
-     idempotent on replicas that did take the first attempt. *)
-  let put t ~key ~data =
-    if String.length data > Wire.max_payload then
-      invalid_arg "Client.put: data exceeds Wire.max_payload";
-    with_owner t key ~f:(fun owner ->
-        match
-          rpc t owner
-            (Wire.Put { key; depth = t.replicas - 1; vv = Wire.vv_empty; data })
-        with
-        | Some (Wire.Put_ack { copies; _ }) when copies >= t.quorum_w ->
-            `Done (`Ok copies)
-        | Some (Wire.Put_ack _) | None -> `Retry
-        | Some _ -> `Retry)
-
-  let get t ~key =
-    with_owner t key ~f:(fun owner ->
-        let msg =
-          if t.quorum_r >= 2 then Wire.Get_q { key; q = t.quorum_r }
-          else Wire.Get { key }
-        in
-        match rpc t owner msg with
-        | Some (Wire.Found { data }) -> `Done (`Found data)
-        | Some Wire.Missing -> `Stale `Missing
-        | Some _ | None -> `Retry)
-
-  let remove t ~key =
-    with_owner t key ~f:(fun owner ->
-        match
-          rpc t owner
-            (Wire.Remove { key; depth = t.replicas - 1; vv = Wire.vv_empty })
-        with
-        | Some (Wire.Remove_ack { removed }) -> `Done (`Ok removed)
-        | Some _ | None -> `Retry)
-
-  (* {2 Pipelined (multiplexed) operations}
-
-     The async variants never drive the poll loop themselves: they
-     queue the RPC (deferred — the frame coalesces into the link
-     buffer) and return, the reply firing the continuation from a
-     later {!poll}.  A caller keeps a window of W operations open and
-     all W requests ride the same connection, correlated by request
-     id; the retry ladder (invalidate-and-resolve through rotating
-     seeds) is the same as the synchronous path's, continuation-passed
-     instead of blocking. *)
-
-  let rec aiterate t key cur hops_left k =
-    t.lookup_rpcs <- t.lookup_rpcs + 1;
-    arpc t cur (Wire.Lookup { key }) (fun r ->
-        match r with
-        | Some (Wire.Owner { node; lo; hi }) ->
-            Lookup_cache.insert t.cache ~now:(T.now (L.endpoint t.ls)) ~lo ~hi
-              ~node;
-            k (Some node)
-        | Some (Wire.Redirect { next }) when hops_left > 0 ->
-            aiterate t key next (hops_left - 1) k
-        | _ ->
-            L.drop_link t.ls cur;
-            k None)
-
-  let aresolve t key k =
-    let now = T.now (L.endpoint t.ls) in
-    match Lookup_cache.find t.cache ~now key with
-    | node when node >= 0 -> k (Some (node, true))
-    | _ when t.alpha >= 2 -> aresolve_race t key k
-    | _ ->
-        let ns = Array.length t.seeds in
-        let start = t.seed_idx in
-        t.seed_idx <- (t.seed_idx + 1) mod ns;
-        let rec try_seed n =
-          if n >= ns then k None
-          else
-            aiterate t key t.seeds.((start + n) mod ns) t.max_hops (function
-              | Some node -> k (Some (node, false))
-              | None -> try_seed (n + 1))
-        in
-        try_seed 0
-
   let awith_owner t key ~failed ~f ~k =
     t.inflight <- t.inflight + 1;
     let finish outcome =
@@ -322,6 +183,10 @@ module Make (T : Transport.S) = struct
     in
     go t.retries
 
+  (* A write is good once [quorum_w] replicas acked it; fewer acks
+     (slow or dead replicas inside the coordinator's fan-out window)
+     re-resolves and retries — the version map makes the replay
+     idempotent on replicas that did take the first attempt. *)
   let put_async t ~key ~data k =
     if String.length data > Wire.max_payload then
       invalid_arg "Client.put_async: data exceeds Wire.max_payload";
@@ -357,4 +222,25 @@ module Make (T : Transport.S) = struct
               (match r with
               | Some (Wire.Remove_ack { removed }) -> `Done (`Ok removed)
               | Some _ | None -> `Retry)))
+
+  (* {2 Synchronous operations}
+
+     An [_async] operation polled until its continuation fires: every
+     RPC concludes by its timeout, so the loop terminates. *)
+
+  let run_to_completion t op =
+    let result = ref None in
+    op (fun r -> result := Some r);
+    let rec wait () =
+      match !result with
+      | Some r -> r
+      | None ->
+          L.poll t.ls ~timeout:quantum;
+          wait ()
+    in
+    wait ()
+
+  let put t ~key ~data = run_to_completion t (put_async t ~key ~data)
+  let get t ~key = run_to_completion t (get_async t ~key)
+  let remove t ~key = run_to_completion t (remove_async t ~key)
 end

@@ -22,23 +22,22 @@ module Make (T : Transport.S) : sig
 
   val create :
     T.t ->
-    ?ttl:float ->
     ?replicas:int ->
     ?quorum_r:int ->
     ?quorum_w:int ->
     ?rpc_timeout:float ->
-    ?max_hops:int ->
     ?retries:int ->
-    ?quantum:float ->
     ?alpha:int ->
     seeds:int list ->
     unit ->
     t
   (** [seeds] are nodes to start iterative lookups from (rotated
       round-robin; must be non-empty).  [replicas] (default 3) is the
-      fan-out depth requested on puts; [quantum] bounds each poll step
-      while an operation waits.  [ttl] is the cache TTL (default
-      4500 s — virtual seconds under {!Transport_mem}).
+      fan-out depth requested on puts.  [rpc_timeout] (default 0.25 s)
+      bounds every RPC; [retries] (default 3) is how many owners an
+      operation tries before it reports [`Failed].  The cache keeps
+      {!Lookup_cache}'s default TTL (4500 s — virtual seconds under
+      {!Transport_mem}); a lookup chain follows at most 32 redirects.
 
       [quorum_w] (default 1) is the write quorum: a put whose ack
       reports fewer than [quorum_w] stored copies is treated as a
@@ -57,17 +56,18 @@ module Make (T : Transport.S) : sig
       entered through a distinct seed, over the pipelined async path;
       the first owner answer wins and the losing chains are cancelled
       (a settled chain issues no further messages).  Nothing changes
-      on the wire — each chain is an ordinary iterative lookup — so
-      [alpha = 1] is byte-identical to the sequential ladder.  The
-      point is p99 under churn: a chain stalled on a dead hop's RPC
+      on the wire — each chain is an ordinary iterative lookup, and
+      [alpha = 1] runs one chain at a time, trying the seeds in turn.
+      The point is p99 under churn: a chain stalled on a dead hop's RPC
       timeout no longer serializes the lookup.  Costs up to [alpha]×
       the lookup messages on misses.
       @raise Invalid_argument if [alpha < 1]. *)
 
   (** {2 Synchronous operations}
 
-      Each drives the transport's poll loop until the operation
-      concludes — one operation in flight at a time. *)
+      Each is its [_async] twin below, polled in 10 ms steps until the
+      continuation fires.  Other operations already in flight progress
+      during the wait. *)
 
   val put : t -> key:Key.t -> data:string -> [ `Ok of int | `Failed ]
   (** [`Ok copies]: the coordinator stored the block and [copies]

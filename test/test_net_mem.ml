@@ -304,6 +304,85 @@ let test_alpha_race_survives_dead_seed () =
   Mem.set_partition net None;
   List.iter Node.stop nodes
 
+(* Seed exhaustion: every seed is unreachable, so the lookup walks the
+   whole seed list — one chain per seed, in waves of α — and the
+   operation fails once, without a retry (there is no owner to retry).
+   Killed seeds refuse the connect and the walk concludes inline;
+   partitioned seeds swallow the Lookup, so each wave ends by its RPC
+   timeout and the walk takes ceil(seeds / α) timeouts of virtual
+   time.  Both the synchronous [get] and [get_async] take this path. *)
+let test_seed_exhaustion () =
+  let n_seeds = 5 and rpc_timeout = 2.0 in
+  let case ~alpha ~sync ~partition =
+    let label =
+      Printf.sprintf "alpha=%d %s %s" alpha
+        (if sync then "get" else "get_async")
+        (if partition then "partitioned" else "killed")
+    in
+    let engine = Engine.create () in
+    let topology =
+      Topology.create ~rng:(Rng.create 0x5eed) ~n:(n_seeds + 1) ()
+    in
+    let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x11 () in
+    let seeds = List.init n_seeds Fun.id in
+    List.iter (fun i -> ignore (Mem.endpoint net ~node:i)) seeds;
+    if partition then
+      Mem.set_partition net
+        (Some (fun a b -> a = n_seeds || b = n_seeds))
+    else List.iter (Mem.kill net) seeds;
+    let client =
+      Client.create (Mem.endpoint net ~node:n_seeds) ~replicas:3
+        ~rpc_timeout ~alpha ~seeds ()
+    in
+    let key = Key.random (Rng.create 0x99) in
+    let fired = ref [] and t_done = ref nan in
+    let t0 = Engine.now engine in
+    if sync then begin
+      fired := [ Client.get client ~key ];
+      t_done := Engine.now engine
+    end
+    else begin
+      Client.get_async client ~key (fun r ->
+          fired := r :: !fired;
+          t_done := Engine.now engine);
+      while !fired = [] do
+        Client.poll client ~timeout:0.01
+      done;
+      (* Run well past any straggling timer: a second firing would
+         show up here. *)
+      Client.poll client ~timeout:(4.0 *. rpc_timeout)
+    end;
+    let elapsed = !t_done -. t0 in
+    (match !fired with
+    | [ `Failed ] -> ()
+    | l ->
+        Alcotest.fail
+          (Printf.sprintf "%s: want one `Failed, got %d outcome(s)" label
+             (List.length l)));
+    Alcotest.(check int) (label ^ ": failures") 1 (Client.failures client);
+    Alcotest.(check int) (label ^ ": in flight") 0 (Client.in_flight client);
+    Alcotest.(check int) (label ^ ": lookup rpcs") n_seeds
+      (Client.lookup_rpcs client);
+    if partition then begin
+      let waves = (n_seeds + alpha - 1) / alpha in
+      let expect = float_of_int waves *. rpc_timeout in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3fs within one poll step of %.1fs" label
+           elapsed expect)
+        true
+        (elapsed >= expect -. 1e-9 && elapsed <= expect +. 0.01 +. 1e-9)
+    end
+  in
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun sync ->
+          List.iter
+            (fun partition -> case ~alpha ~sync ~partition)
+            [ false; true ])
+        [ true; false ])
+    [ 1; 2 ]
+
 (* Small sanity run: 3 nodes, one block, full lifecycle including the
    stale-cache [Missing] path after remove. *)
 let test_basic_lifecycle () =
@@ -360,5 +439,7 @@ let () =
             test_pipelined_depth_invariant;
           Alcotest.test_case "alpha=2 races around a black-holed seed" `Quick
             test_alpha_race_survives_dead_seed;
+          Alcotest.test_case "seed exhaustion fails once (alpha 1, 2)" `Quick
+            test_seed_exhaustion;
         ] );
     ]

@@ -556,8 +556,14 @@ let test_fetch_digest_contract () =
   in
   let ls = L.create (Mem.endpoint c.net ~node:10) in
   let fetch ~label ~dst key known =
-    match L.rpc_sync ls ~dst ~timeout:5.0 (Wire.Fetch { key; known }) with
-    | Some (Wire.Fetch_ack { vv; deleted; data }) -> (vv, deleted, data)
+    let reply = ref None in
+    L.rpc ls ~dst ~timeout:5.0 (Wire.Fetch { key; known }) (fun r ->
+        reply := Some r);
+    while !reply = None do
+      L.poll ls ~timeout:0.01
+    done;
+    match !reply with
+    | Some (Some (Wire.Fetch_ack { vv; deleted; data })) -> (vv, deleted, data)
     | _ -> Alcotest.fail (label ^ ": no Fetch_ack")
   in
   let ring = ring_of_live c ~dead:[] in
