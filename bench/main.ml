@@ -25,7 +25,6 @@ module Rng = D2_util.Rng
 module Pool = D2_util.Pool
 module Gc_tune = D2_util.Gc_tune
 module Lookup_cache = D2_cache.Lookup_cache
-module Range_arena = D2_cache.Range_arena
 module Zipf = D2_util.Zipf
 module Op = D2_trace.Op
 module Plan = D2_trace.Plan
@@ -456,100 +455,6 @@ let net_pipelined_rpc_test () =
         Client.poll client ~timeout:0.01
       done))
 
-(* {2 Fleet micros}
-
-   [fleet_cache_probe] is the d2fleet hot kernel in isolation: 256
-   clients share one range arena, each probing mostly its home range
-   with a cross-range jump every 16th op — the hit-dominated d2
-   locality regime, measured warm.  [fleet_step] is the end-to-end
-   per-op cost: wheel fire, zipf draw, arena probe, re-arm — a fresh
-   engine per staged run firing exactly [micro_batch] cells. *)
-
-let fleet_clients = 256
-let fleet_ranges = 64
-
-let fleet_arena () =
-  let arena =
-    Range_arena.create ~ways:8 ~shards:1 ~clients:fleet_clients ()
-  in
-  Range_arena.set_ranges arena
-    ~bounds:(Array.init fleet_ranges (fun i -> 128 * (i + 1)))
-    ~owners:(Array.init fleet_ranges Fun.id);
-  arena
-
-(* Ticks are shared across staged runs (slots stay warm); wrap far
-   below the arena's 28-bit limit. *)
-let fleet_tick t =
-  let n = if !t >= Range_arena.max_tick then 1 else !t + 1 in
-  t := n;
-  n
-
-let fleet_cache_probe_test () =
-  let open Bechamel in
-  let arena = fleet_arena () in
-  let prng = Rng.create 23 in
-  let cli = Array.make micro_batch 0 in
-  let pos = Array.make micro_batch 0 in
-  for i = 0 to micro_batch - 1 do
-    let c = i land (fleet_clients - 1) in
-    let home = c land (fleet_ranges - 1) in
-    let r = if i land 15 = 0 then Rng.int prng fleet_ranges else home in
-    cli.(i) <- c;
-    pos.(i) <- (128 * r) + 1 + (2 * Rng.int prng 63)
-  done;
-  let tick = ref 0 in
-  let acc = ref 0 in
-  for i = 0 to micro_batch - 1 do
-    (* warm the slots: the measured loop is the steady state *)
-    ignore
-      (Range_arena.probe arena ~shard:0 ~cls:0 ~client:cli.(i) ~pos:pos.(i)
-         ~tick:(fleet_tick tick) ~cap:8)
-  done;
-  Test.make ~name:"fleet_cache_probe"
-    (Staged.stage (fun () ->
-         for i = 0 to micro_batch - 1 do
-           acc :=
-             !acc
-             + Range_arena.probe arena ~shard:0 ~cls:0 ~client:cli.(i)
-                 ~pos:pos.(i) ~tick:(fleet_tick tick) ~cap:8
-         done))
-
-let fleet_step_test () =
-  let open Bechamel in
-  let arena = fleet_arena () in
-  let zipf = Zipf.create ~n:fleet_ranges ~s:0.9 in
-  let tick = ref 0 in
-  let acc = ref 0 in
-  Test.make ~name:"fleet_step"
-    (Staged.stage (fun () ->
-         let eng = Engine.create ~granularity:0.08 () in
-         let rng = Rng.create 31 in
-         let fired = ref 0 in
-         let handler = ref (fun (_ : int) (_ : int) -> ()) in
-         let sink =
-           Engine.register_sink eng (fun tag payload -> !handler tag payload)
-         in
-         handler :=
-           (fun _ client ->
-             incr fired;
-             let r = Zipf.sample zipf rng in
-             let pos = (128 * r) + 1 + (2 * (client land 63)) in
-             acc :=
-               !acc
-               + Range_arena.probe arena ~shard:0 ~cls:0 ~client ~pos
-                   ~tick:(fleet_tick tick) ~cap:8;
-             if !fired <= micro_batch - fleet_clients then
-               Engine.post_in eng ~sink
-                 ~delay:(Rng.exponential rng ~mean:5.0)
-                 ~tag:0 ~payload:client);
-         for c = 0 to fleet_clients - 1 do
-           Engine.post_in eng ~sink ~delay:(Rng.float rng 5.0) ~tag:0
-             ~payload:c
-         done;
-         (* exactly [micro_batch] fires: the initial cells plus one
-            re-arm per fire up to the quota *)
-         Engine.run eng))
-
 (* {2 Segment-store micros}
 
    The durable-store kernels: buffered append + group commit, the
@@ -771,8 +676,6 @@ let micro_tests ~full () =
              acc := !acc + Zipf.sample bench_zipf zrng
            done;
            sink := !acc)));
-      (`Quick, micro_batch, fleet_cache_probe_test ());
-      (`Quick, micro_batch, fleet_step_test ());
       (`Quick, 1, cluster_fail_recover_test ());
       (`Quick, 1, availability_replay_1k_test ());
       (`Quick, micro_batch, net_frame_encode_test ());

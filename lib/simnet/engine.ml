@@ -12,7 +12,7 @@ type event = { time : float; seq : int; fn : unit -> unit; h : handle }
    bandwidth-paced arrivals — so those are posted as {e cells}: an
    unboxed (time, seq, tag, payload, sink) row in a struct-of-arrays
    pool, filed into a 3-level hierarchical timer wheel (256 slots per
-   level, [granularity] seconds per tick; [D2_WHEEL_G] overrides).
+   level, one virtual second per tick).
    Timers beyond the wheel's 2^24-tick range fall back to the closure
    heap, so range never limits correctness.
 
@@ -29,7 +29,6 @@ type t = {
   queue : event Heap.t;
   mutable clock : float;
   mutable next_seq : int;
-  granularity : float;
   mutable cursor : int;  (* last tick fully surfaced into [ready] *)
   (* cell pool columns; [c_next] doubles as slot chain and free list *)
   mutable c_time : float array;
@@ -60,27 +59,13 @@ let compare_events a b =
   let c = compare a.time b.time in
   if c <> 0 then c else compare a.seq b.seq
 
-let default_granularity () =
-  match Sys.getenv_opt "D2_WHEEL_G" with
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some g when g > 0.0 -> g
-      | _ -> invalid_arg "D2_WHEEL_G: expected a positive number")
-  | None -> 1.0
-
 let no_sink : int -> int -> unit = fun _ _ -> ()
 
-let create ?granularity () =
-  (match granularity with
-  | Some g when g <= 0.0 ->
-      invalid_arg "Engine.create: granularity must be positive"
-  | _ -> ());
+let create () =
   {
     queue = Heap.create ~cmp:compare_events;
     clock = 0.0;
     next_seq = 0;
-    granularity =
-      (match granularity with Some g -> g | None -> default_granularity ());
     cursor = 0;
     c_time = [||];
     c_seq = [||];
@@ -323,7 +308,7 @@ let surface_next t =
     else advance_one t
   done
 
-let tick_of t at = int_of_float (at /. t.granularity)
+let tick_of at = int_of_float at
 
 let post t ~sink ~at ~tag ~payload =
   if at < t.clock then
@@ -332,7 +317,7 @@ let post t ~sink ~at ~tag ~payload =
   if sink < 0 || sink >= t.nsinks then invalid_arg "Engine.post: unknown sink";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let tick = tick_of t at in
+  let tick = tick_of at in
   if tick - t.cursor >= 1 lsl 24 then begin
     (* Beyond the wheel's horizon: fall back to a closure event.  Same
        seq draw, so ordering is unchanged. *)
@@ -367,7 +352,7 @@ let run ?until t =
       (match Heap.peek t.queue with Some e -> bound := e.time | None -> ());
       if t.nready > 0 && t.c_time.(t.ready.(0)) < !bound then
         bound := t.c_time.(t.ready.(0));
-      if !bound < infinity then advance_to t (tick_of t !bound)
+      if !bound < infinity then advance_to t (tick_of !bound)
       else surface_next t
     end;
     let hm = Heap.peek t.queue in

@@ -3,8 +3,9 @@ type t = {
   cdf : float array;
   (* Walker alias table: bucket [i] returns [i] when the uniform
      fraction falls below [cut.(i)], otherwise [alias.(i)].  Built once
-     in O(n); each sample is O(1) — one table row — instead of the CDF
-     binary search, which the fleet generators pay on every op. *)
+     in O(n); each sample is O(1) — one table row — instead of a CDF
+     binary search on every draw of the Harvard, HP and Web trace
+     generators and of [ablation_hotspot]. *)
   cut : float array;
   alias : int array;
 }

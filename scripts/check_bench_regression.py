@@ -63,15 +63,10 @@ MICRO_LIMITS = {
     # per-op cost.
     "net_write_coalesce": 1500.0,
     "net_pipelined_rpc": 100000.0,
-    # Fleet gates: the shared-arena probe is the acceptance-criterion
-    # kernel (issue says <= 100 ns; a quiet run reports ~56), the
-    # alias-method zipf draw must stay O(1) (a return to CDF binary
-    # search shows up as ~3x at n=4096), and the full per-op step
-    # (wheel fire + draw + probe + re-arm) bounds the fleet's
-    # end-to-end throughput.
+    # The alias-method zipf draw behind the Harvard, HP and Web trace
+    # generators and ablation_hotspot must stay O(1): a return to CDF
+    # binary search shows up as ~3x at n=4096.
     "zipf_sample": 150.0,
-    "fleet_cache_probe": 100.0,
-    "fleet_step": 600.0,
     # Durable-store gates (stores live on tmpfs, so these bound the
     # store's own code path, not device sync latency).  A quiet run
     # reports ~260/~420/~100/~590; the ceilings catch a lost write

@@ -87,6 +87,134 @@ let test_engine_every () =
   Engine.run e;
   Alcotest.(check int) "5 ticks in 5.5s" 5 !count
 
+(* {2 Timer-wheel cells}
+
+   A random forest of closure events and posted cells.  Times are
+   spread over every wheel level (< 2^8, < 2^16, < 2^24 ticks) and past
+   the 2^24-tick horizon, where cells fall back to the heap; half of
+   them sit on a band's first few whole ticks so closures and cells
+   tie.  Every event schedules its children from inside its callback.
+   The run stops at a few [~until] points and posts more roots from
+   outside after each stop.  The engine must fire exactly what a naive
+   reference fires: one pending list, always popping the least
+   (time, scheduling order). *)
+
+type wheel_ev = { id : int; cell : bool; offset : float; kids : wheel_ev list }
+(* [offset] is an absolute time for the first roots, a delay otherwise. *)
+
+let wheel_bands =
+  [| (0.0, 256.0); (256.0, 65536.0); (65536.0, 16777216.0);
+     (16777216.0, 33554432.0) |]
+
+let wheel_time rng =
+  let lo, hi = wheel_bands.(Rng.int rng (Array.length wheel_bands)) in
+  if Rng.bool rng then lo +. float_of_int (Rng.int rng 3)
+  else lo +. Rng.float rng (hi -. lo)
+
+(* Roots for the start and for after each of three [~until] stops;
+   each event has up to two children, down to three generations below
+   its root. *)
+let wheel_case ~roots ~seed =
+  let rng = Rng.create seed in
+  let next = ref 0 in
+  let rec ev depth =
+    let id = !next in
+    incr next;
+    let cell = Rng.bool rng in
+    let offset = wheel_time rng in
+    let nkids = if depth = 3 then 0 else Rng.int rng 3 in
+    { id; cell; offset; kids = List.init nkids (fun _ -> ev (depth + 1)) }
+  in
+  let phase () = List.init roots (fun _ -> ev 0) in
+  let stops = List.sort compare (List.init 3 (fun _ -> wheel_time rng)) in
+  (phase (), List.map (fun u -> (u, phase ())) stops)
+
+(* The engine's firing log [(id, time)] at each stop and at the end. *)
+let wheel_engine_logs (first, later) =
+  let e = Engine.create () in
+  let log = ref [] in
+  let cells = Hashtbl.create 64 in
+  let fire = ref (fun _ -> ()) in
+  let sink =
+    Engine.register_sink e (fun tag id ->
+        let ev = Hashtbl.find cells id in
+        Alcotest.(check int) "tag delivered" (id land 7) tag;
+        !fire ev)
+  in
+  let add ~absolute ev =
+    if ev.cell then begin
+      Hashtbl.replace cells ev.id ev;
+      let tag = ev.id land 7 and payload = ev.id in
+      if absolute then Engine.post e ~sink ~at:ev.offset ~tag ~payload
+      else Engine.post_in e ~sink ~delay:ev.offset ~tag ~payload
+    end
+    else
+      let fn () = !fire ev in
+      ignore
+        (if absolute then Engine.schedule e ~at:ev.offset fn
+         else Engine.schedule_in e ~delay:ev.offset fn)
+  in
+  (fire :=
+     fun ev ->
+       log := (ev.id, Engine.now e) :: !log;
+       List.iter (add ~absolute:false) ev.kids);
+  List.iter (add ~absolute:true) first;
+  let snaps =
+    List.map
+      (fun (u, roots) ->
+        Engine.run e ~until:u;
+        Alcotest.(check (float 0.0)) "clock at until" u (Engine.now e);
+        let snap = List.rev !log in
+        List.iter (add ~absolute:false) roots;
+        snap)
+      later
+  in
+  Engine.run e;
+  Alcotest.(check int) "drained" 0 (Engine.pending e);
+  snaps @ [ List.rev !log ]
+
+let wheel_reference_logs (first, later) =
+  let pending = ref [] and seq = ref 0 and log = ref [] in
+  let add now ev =
+    pending := (now +. ev.offset, !seq, ev) :: !pending;
+    incr seq
+  in
+  let before (t, s, _) (t', s', _) = t < t' || (t = t' && s < s') in
+  let rec drain until =
+    match !pending with
+    | [] -> ()
+    | x :: rest ->
+        let ((t, _, ev) as m) =
+          List.fold_left (fun m y -> if before y m then y else m) x rest
+        in
+        if t <= until then begin
+          pending := List.filter (fun y -> y != m) !pending;
+          log := (ev.id, t) :: !log;
+          List.iter (add t) ev.kids;
+          drain until
+        end
+  in
+  List.iter (add 0.0) first;
+  let snaps =
+    List.map
+      (fun (u, roots) ->
+        drain u;
+        let snap = List.rev !log in
+        List.iter (add u) roots;
+        snap)
+      later
+  in
+  drain infinity;
+  snaps @ [ List.rev !log ]
+
+let prop_wheel_cells_fire_in_order =
+  QCheck.Test.make ~name:"cells and closures fire in (time, seq) order"
+    ~count:100
+    QCheck.(pair (int_range 1 16) int)
+    (fun (roots, seed) ->
+      let case = wheel_case ~roots ~seed in
+      wheel_engine_logs case = wheel_reference_logs case)
+
 (* {1 Topology} *)
 
 let test_topology_symmetric () =
@@ -195,6 +323,7 @@ let () =
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "pending" `Quick test_engine_pending;
           Alcotest.test_case "every" `Quick test_engine_every;
+          QCheck_alcotest.to_alcotest prop_wheel_cells_fire_in_order;
         ] );
       ( "topology",
         [
